@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check bench benchdiff chaos
+.PHONY: build test race vet lint check perfbench-test bench benchdiff chaos
 
 build:
 	$(GO) build ./...
@@ -30,11 +30,17 @@ lint:
 	$(GO) run ./cmd/sommlint ./...
 
 # check is the CI gate: vet, then sommlint, then the race-detector run,
-# then the benchmark-baseline diff. lint sits before race because it is
-# ~100x cheaper and catches the invariant violations race can only hope
-# to trip over; benchdiff last because it only compares JSON already on
-# disk (regenerate with `make bench` to compare fresh numbers).
-check: vet lint race benchdiff
+# then the benchmark's own unit tests, then the benchmark-baseline diff.
+# lint sits before race because it is ~100x cheaper and catches the
+# invariant violations race can only hope to trip over; benchdiff last
+# because it only compares JSON already on disk (regenerate with
+# `make bench` to compare fresh numbers).
+check: vet lint race perfbench-test benchdiff
+
+# perfbench-test runs the repository benchmark's unit tests. perfbench/
+# is a module of its own, so the root `go test ./...` never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # bench runs the Go micro-benchmarks, then the serial-vs-parallel
 # indexing benchmark, the query-latency benchmark, the cluster

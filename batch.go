@@ -81,7 +81,7 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error) 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			qctx, span := e.obs.StartSpan(ctx, "query", fmt.Sprintf("batch[%d]", i))
-			results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo)
+			results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo, nil)
 			e.obs.Histogram("query_total_ms").Observe(span.End())
 			if errs[i] != nil {
 				e.obs.Counter("query_errors_total").Inc()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -33,6 +34,7 @@ func (c *countingStore) Load(id string) (*graph.Model, error) {
 // store, so tests can build fresh engines over the same models.
 func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 	t.Helper()
+	ctx := context.Background()
 	eng, err := NewEngine(store, WithSeed(11), WithValidationSize(250))
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +43,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(ctx, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +61,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(big); err != nil {
+	if _, err := eng.RegisterContext(ctx, big); err != nil {
 		t.Fatal(err)
 	}
 	return eng, refID
@@ -195,11 +197,12 @@ func TestQueryContextCancellation(t *testing.T) {
 // ranked with a zero-valued profile it would trivially win PICK smallest
 // with; a missing *reference* profile fails the query with ErrNoProfile.
 func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
+	ctx := context.Background()
 	store := repo.NewInMemory()
 	eng, refID := newLadderOverStore(t, store)
 	victim := "variant0@1"
 
-	results, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
+	results, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 	}
 
 	dropProfile(t, eng, store, victim)
-	results, err = eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
+	results, err = eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +241,25 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 			t.Fatalf("TopEquivalents returned profile-less candidate %s", victim)
 		}
 	}
+	// Explain accounts for the skipped candidate, whether or not a
+	// constraint sends it through the LSH prefilter first.
+	for _, q := range []string{
+		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID),
+		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 1000%% PICK smallest`, refID),
+	} {
+		exp, err := eng.ExplainContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp.NoProfile != 1 || !strings.Contains(exp.String(), "1 candidates skipped without a resource profile") {
+			t.Fatalf("%s: NoProfile = %d, want 1:\n%s", q, exp.NoProfile, exp)
+		}
+	}
 
 	// A reference without a profile is an index inconsistency the query
 	// must report, not paper over.
 	dropProfile(t, eng, store, refID)
-	if _, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%%`, refID)); !errors.Is(err, ErrNoProfile) {
+	if _, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 50%%`, refID)); !errors.Is(err, ErrNoProfile) {
 		t.Fatalf("query with profile-less reference: err = %v, want ErrNoProfile", err)
 	}
 }
@@ -289,6 +306,7 @@ func dropProfile(t *testing.T, eng *Engine, store Store, id string) {
 // write order, and duplicate bounds answer exactly like the single
 // tight bound.
 func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
+	ctx := context.Background()
 	cs := []query.Constraint{
 		{Metric: query.MetricMemory, Op: query.OpLE, Value: 100, Unit: query.UnitMB},
 		{Metric: query.MetricMemory, Op: query.OpLT, Value: 50, Unit: query.UnitMB},
@@ -305,7 +323,7 @@ func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 
 	store := repo.NewInMemory()
 	eng, refID := newLadderOverStore(t, store)
-	single, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% PICK smallest`, refID))
+	single, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +332,7 @@ func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% AND memory <= 500%% PICK smallest`, refID),
 		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 500%% AND memory <= 120%% PICK smallest`, refID),
 	} {
-		dup, err := eng.Query(q)
+		dup, err := eng.QueryContext(ctx, q)
 		if err != nil {
 			t.Fatalf("duplicate-bound query rejected: %v", err)
 		}
@@ -325,7 +343,7 @@ func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 
 	// Ranges — a lower and an upper bound on one metric — are the useful
 	// case duplicate rejection used to outlaw.
-	rng, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory >= 10%% AND memory <= 120%% PICK smallest`, refID))
+	rng, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory >= 10%% AND memory <= 120%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatalf("range query rejected: %v", err)
 	}

@@ -10,6 +10,7 @@
 package sommelier_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -26,6 +27,7 @@ import (
 // comparison to BENCH_index.json via cmd/sommbench -exp indexbench.
 func indexAllBench(b *testing.B, workers int) {
 	b.Helper()
+	ctx := context.Background()
 	series, err := zoo.Catalog(zoo.CatalogConfig{
 		NumSeries: 6, MinPerSeries: 4, MaxPerSeries: 4, NumTrunks: 3, Seed: 0xbe7c,
 	})
@@ -42,13 +44,12 @@ func indexAllBench(b *testing.B, workers int) {
 				}
 			}
 		}
-		eng, err := sommelier.New(store, sommelier.Options{
-			Seed: 17, ValidationSize: 80, IndexWorkers: workers,
-		})
+		eng, err := sommelier.NewEngine(store, sommelier.WithSeed(17), sommelier.WithValidationSize(80),
+			sommelier.WithIndexWorkers(workers))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.IndexAll(); err != nil {
+		if err := eng.IndexAllContext(ctx); err != nil {
 			b.Fatal(err)
 		}
 		if eng.IndexedLen() != models {
@@ -88,7 +89,7 @@ func BenchmarkFigure9aQueryQuality(b *testing.B) {
 		Seed:            7,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9a(cfg)
+		res, err := experiments.RunFig9a(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkFigure9aQueryQuality(b *testing.B) {
 func BenchmarkFigure9bEffort(b *testing.B) {
 	cfg := experiments.Fig9bConfig{Models: 8, ValidationSize: 200, Seed: 2}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9b(cfg)
+		res, err := experiments.RunFig9b(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func BenchmarkFigure9bEffort(b *testing.B) {
 func BenchmarkFigure9cTailLatency(b *testing.B) {
 	cfg := experiments.Fig9cConfig{Requests: 5000, Seed: 3}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9c(cfg)
+		res, err := experiments.RunFig9c(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkFigure12aResourceVariation(b *testing.B) {
 
 func BenchmarkFigure12bCrossSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: 6})
+		res, err := experiments.RunFig12b(context.Background(), experiments.Fig12bConfig{Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func BenchmarkFigure13TopKOutside(b *testing.B) {
 	cfg.Repeats = 1
 	cfg.ValidationSize = 150
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13(cfg)
+		res, err := experiments.RunFig13(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func BenchmarkAblationBoundOnOff(b *testing.B) {
 
 func BenchmarkAblationSampledInsertion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationSampling(11)
+		res, err := experiments.RunAblationSampling(context.Background(), 11)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,6 +45,7 @@ func main() {
 		seed        = flag.Uint64("seed", 2022, "base random seed")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	runners := []runner{
 		{"fig3", func() (fmt.Stringer, error) {
@@ -56,19 +57,19 @@ func main() {
 		{"fig9a", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9aConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunFig9a(cfg)
+			r, err := experiments.RunFig9a(ctx, cfg)
 			return report(r, err)
 		}},
 		{"fig9b", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9bConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunFig9b(cfg)
+			r, err := experiments.RunFig9b(ctx, cfg)
 			return report(r, err)
 		}},
 		{"fig9c", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9cConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunFig9c(cfg)
+			r, err := experiments.RunFig9c(ctx, cfg)
 			return report(r, err)
 		}},
 		{"fig10", func() (fmt.Stringer, error) {
@@ -90,7 +91,7 @@ func main() {
 			return report(r, err)
 		}},
 		{"fig12b", func() (fmt.Stringer, error) {
-			r, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: *seed})
+			r, err := experiments.RunFig12b(ctx, experiments.Fig12bConfig{Seed: *seed})
 			return report(r, err)
 		}},
 		{"fig13", func() (fmt.Stringer, error) {
@@ -101,7 +102,7 @@ func main() {
 				cfg.SeriesCounts = []int{5, 10, 15, 20, 25, 30}
 				cfg.Repeats = 5
 			}
-			r, err := experiments.RunFig13(cfg)
+			r, err := experiments.RunFig13(ctx, cfg)
 			return report(r, err)
 		}},
 		{"table1", func() (fmt.Stringer, error) {
@@ -129,7 +130,7 @@ func main() {
 		{"indexbench", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultIndexBenchConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunIndexBench(cfg)
+			r, err := experiments.RunIndexBench(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -148,7 +149,7 @@ func main() {
 		{"querybench", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultQueryBenchConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunQueryBench(context.Background(), cfg)
+			r, err := experiments.RunQueryBench(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +168,7 @@ func main() {
 		{"clusterbench", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultClusterBenchConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunClusterBench(context.Background(), cfg)
+			r, err := experiments.RunClusterBench(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +187,7 @@ func main() {
 		{"storebench", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultStoreBenchConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunStoreBench(context.Background(), cfg)
+			r, err := experiments.RunStoreBench(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +206,7 @@ func main() {
 		{"servebench", func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultServeBenchConfig()
 			cfg.Seed = *seed
-			r, err := experiments.RunServeBench(context.Background(), cfg)
+			r, err := experiments.RunServeBench(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +229,7 @@ func main() {
 				return nil, err
 			}
 			out = append(out, b.Report())
-			s, err := experiments.RunAblationSampling(*seed)
+			s, err := experiments.RunAblationSampling(ctx, *seed)
 			if err != nil {
 				return nil, err
 			}

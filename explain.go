@@ -3,9 +3,8 @@ package sommelier
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
-
-	"sommelier/internal/query"
 )
 
 // StageTiming is one pipeline stage's measured duration, as recorded by
@@ -19,7 +18,12 @@ type StageTiming struct {
 // Explanation reports what each stage of the §5.4 filter pipeline did for
 // one query — the introspection behind the paper's framing of Sommelier
 // as an "explanation database for DNNs": not just which model was chosen,
-// but why the others were not.
+// but why the others were not. The query pipeline fills it in as it
+// runs, so it describes the very execution that produced Results.
+//
+// Every stage-1 candidate is accounted for once: returned (before
+// LIMIT), rejected by at least one constraint, dropped by the LSH
+// prefilter although it meets every constraint, or without a profile.
 type Explanation struct {
 	Query     string
 	Reference string
@@ -29,8 +33,15 @@ type Explanation struct {
 	// SemanticRejected counts indexed models below the threshold.
 	SemanticRejected int
 	// ResourceRejected counts stage-1 survivors that failed a resource
-	// constraint, per constraint.
+	// constraint, per constraint. A candidate failing two constraints
+	// counts under both.
 	ResourceRejected map[string]int
+	// PrefilterDropped counts stage-1 survivors the approximate LSH
+	// resource prefilter dropped although they meet every constraint.
+	PrefilterDropped int
+	// NoProfile counts stage-1 survivors skipped for lacking a resource
+	// profile.
+	NoProfile int
 	// Returned is the final result count after selection and LIMIT.
 	Returned int
 	// Results carries the final results for convenience.
@@ -55,14 +66,16 @@ func (e *Explanation) String() string {
 		for k := range e.ResourceRejected {
 			keys = append(keys, k)
 		}
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
+		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %s rejected %d candidates\n", k, e.ResourceRejected[k])
 		}
+	}
+	if e.PrefilterDropped > 0 {
+		fmt.Fprintf(&b, "  LSH prefilter dropped %d candidates meeting every constraint\n", e.PrefilterDropped)
+	}
+	if e.NoProfile > 0 {
+		fmt.Fprintf(&b, "  %d candidates skipped without a resource profile\n", e.NoProfile)
 	}
 	fmt.Fprintf(&b, "stage 3 (selection): %d returned\n", e.Returned)
 	if len(e.Stages) > 0 {
@@ -74,138 +87,27 @@ func (e *Explanation) String() string {
 	return b.String()
 }
 
-// ExplainContext runs the query while recording per-stage filtering
-// decisions and per-stage span durations. It returns the same results
-// Query would, plus the explanation. Like QueryASTContext, every stage
-// reads one catalog snapshot, so the counts add up even under
-// concurrent registration.
+// ExplainContext runs the query through the same pipeline as
+// QueryContext while recording per-stage filtering decisions and
+// per-stage span durations. It returns the results QueryContext would,
+// plus the explanation.
 func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, error) {
 	ctx, root := e.obs.StartSpan(ctx, "explain", "")
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
-	e.obs.Counter("queries_total").Inc()
-
-	_, span := e.obs.StartSpan(ctx, "parse", "")
-	ast, err := query.Parse(q)
-	parseMS := span.End()
-	e.obs.Histogram("query_parse_ms").Observe(parseMS)
+	exp := &Explanation{ResourceRejected: make(map[string]int)}
+	ast, err := e.parse(ctx, q, exp)
 	if err != nil {
-		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
 	}
-	snap := e.cat.Snapshot()
-
-	refID := ast.Ref
-	if refID == "" {
-		id, ok := snap.DefaultReference(ast.Task)
-		if !ok {
-			return nil, fmt.Errorf("%w: no default reference for task %q", ErrUnknownReference, ast.Task)
-		}
-		refID = id
-	}
-	if !snap.Contains(refID) {
-		return nil, fmt.Errorf("%w: %q is not indexed", ErrUnknownReference, refID)
-	}
-	refProf, ok := snap.Profile(refID)
-	if !ok {
-		return nil, fmt.Errorf("%w: reference model %q", ErrNoProfile, refID)
-	}
-
-	exp := &Explanation{
-		Query:            ast.String(),
-		Reference:        refID,
-		ResourceRejected: make(map[string]int),
-		Stages:           []StageTiming{{Stage: "parse", Millis: parseMS}},
-	}
+	exp.Query = ast.String()
 	// Seed every constraint so zero-rejection constraints still appear
 	// in the report (distinct from "no constraints at all").
 	for _, con := range ast.Constraints {
 		exp.ResourceRejected[con.String()] = 0
 	}
-
-	_, span = e.obs.StartSpan(ctx, "candidates", "")
-	all, err := snap.Lookup(refID, 0)
-	if err != nil {
-		span.End()
+	if exp.Results, err = e.queryAST(ctx, ast, exp); err != nil {
 		return nil, err
 	}
-	cands, err := snap.Lookup(refID, ast.Threshold)
-	candMS := span.End()
-	e.obs.Histogram("query_candidates_ms").Observe(candMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "candidates", Millis: candMS})
-	if err != nil {
-		return nil, err
-	}
-	exp.SemanticCandidates = len(cands)
-	exp.SemanticRejected = len(all) - len(cands)
-
-	setting, reprofile, err := execSetting(ast.Exec)
-	if err != nil {
-		return nil, err
-	}
-	_, span = e.obs.StartSpan(ctx, "filter", "")
-	var results []Result
-	for _, c := range cands {
-		pid := candProfileID(c)
-		prof, ok := snap.Profile(pid)
-		if reprofile {
-			m, err := e.store.Load(pid)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if prof, err = e.cat.Profiler().MeasureWith(m, setting); err != nil {
-				span.End()
-				return nil, err
-			}
-			ok = true
-		}
-		if !ok {
-			e.obs.Counter("query_skipped_no_profile_total").Inc()
-			continue
-		}
-		rejected := false
-		for _, con := range ast.Constraints {
-			keep, err := exactlySatisfies([]query.Constraint{con}, prof, refProf)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if !keep {
-				exp.ResourceRejected[con.String()]++
-				rejected = true
-			}
-		}
-		if rejected {
-			continue
-		}
-		results = append(results, Result{
-			ID: pid, Level: c.Level,
-			Synthesized: c.Kind.String() == "synthesized",
-			DonorID:     c.DonorID, Segment: c.Segment,
-			Derived: c.Derived, Profile: prof,
-		})
-	}
-	filterMS := span.End()
-	e.obs.Histogram("query_filter_ms").Observe(filterMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "filter", Millis: filterMS})
-
-	_, span = e.obs.StartSpan(ctx, "rank", "")
-	sortResults(results, ast.Pick)
-	if ast.Limit > 0 && len(results) > ast.Limit {
-		results = results[:ast.Limit]
-	}
-	rankMS := span.End()
-	e.obs.Histogram("query_rank_ms").Observe(rankMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "rank", Millis: rankMS})
-	exp.Returned = len(results)
-	exp.Results = results
+	exp.Returned = len(exp.Results)
 	return exp, nil
-}
-
-// Explain runs the query with per-stage introspection, without a
-// context.
-//
-// Deprecated: use ExplainContext.
-func (e *Engine) Explain(q string) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), q)
 }

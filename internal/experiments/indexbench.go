@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -51,7 +52,7 @@ type IndexBenchResult struct {
 // with cfg.Workers. Both engines share a seed, so the committed indexes
 // must serialize to identical bytes — the determinism contract of the
 // staged pipeline — which the result records alongside the timings.
-func RunIndexBench(cfg IndexBenchConfig) (*IndexBenchResult, error) {
+func RunIndexBench(ctx context.Context, cfg IndexBenchConfig) (*IndexBenchResult, error) {
 	if cfg.Series <= 0 {
 		cfg = DefaultIndexBenchConfig()
 	}
@@ -79,16 +80,16 @@ func RunIndexBench(cfg IndexBenchConfig) (*IndexBenchResult, error) {
 				}
 			}
 		}
-		eng, err := sommelier.New(store, sommelier.Options{
-			Seed:           cfg.Seed,
-			ValidationSize: cfg.ValidationSize,
-			IndexWorkers:   w,
-		})
+		eng, err := sommelier.NewEngine(store,
+			sommelier.WithSeed(cfg.Seed),
+			sommelier.WithValidationSize(cfg.ValidationSize),
+			sommelier.WithIndexWorkers(w),
+		)
 		if err != nil {
 			return 0, 0, nil, err
 		}
 		start := time.Now()
-		if err := eng.IndexAll(); err != nil {
+		if err := eng.IndexAllContext(ctx); err != nil {
 			return 0, 0, nil, err
 		}
 		elapsed := time.Since(start)

@@ -13,8 +13,7 @@ import (
 // surface — the legacy entry points (Simulate, SimulateWithFailures,
 // SimulateRacing, RunComparison…) are Deprecated wrappers over it, and
 // the legacy Workload/FailureModel structs accept no new fields
-// (enforced by sommlint's optcheck, exactly as the root package's
-// Options struct is frozen).
+// (enforced by sommlint's optcheck).
 type Option func(*simConfig)
 
 // simConfig is the resolved simulator configuration.

@@ -2,6 +2,7 @@ package sommelier
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -36,13 +37,14 @@ func benchCatalog(t testing.TB, seed uint64) *repo.Repository {
 // wall-clock indexing time.
 func indexAllWith(t testing.TB, workers int) ([]byte, time.Duration) {
 	t.Helper()
+	ctx := context.Background()
 	store := benchCatalog(t, 0xbe7c)
-	eng, err := New(store, Options{Seed: 17, ValidationSize: 80, IndexWorkers: workers})
+	eng, err := NewEngine(store, WithSeed(17), WithValidationSize(80), WithIndexWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

@@ -38,7 +38,7 @@ func (e *Engine) SaveIndexes(w io.Writer) error {
 
 // LoadIndexes restores index state previously written by SaveIndexes.
 // Restored models are re-resolved from the repository so subsequent
-// Register calls can analyze against them; a model missing from the
+// RegisterContext calls can analyze against them; a model missing from the
 // repository fails the load (the snapshot and store are out of sync).
 func (e *Engine) LoadIndexes(r io.Reader) error {
 	var snap engineSnapshot

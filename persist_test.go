@@ -2,6 +2,7 @@ package sommelier
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 )
 
 func TestSaveLoadIndexesRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	var buf bytes.Buffer
 	if err := eng.SaveIndexes(&buf); err != nil {
@@ -17,7 +19,7 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 
 	// A fresh engine over the same repository, restored without any
 	// re-analysis.
-	eng2, err := New(eng.Store(), Options{Seed: 99})
+	eng2, err := NewEngine(eng.Store(), WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +32,11 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 
 	// Queries over the restored engine match the original exactly.
 	q := `SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`
-	orig, err := eng.Query(q)
+	orig, err := eng.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := eng2.Query(q)
+	restored, err := eng2.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,18 +49,19 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 		}
 	}
 	// Task-default references survive.
-	if _, err := eng2.Query(`SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
+	if _, err := eng2.QueryContext(ctx, `SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	var buf bytes.Buffer
 	if err := eng.SaveIndexes(&buf); err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := New(eng.Store(), Options{Seed: 11, ValidationSize: 250})
+	eng2, err := NewEngine(eng.Store(), WithSeed(11), WithValidationSize(250))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
 	}
 	clone := m.Clone()
 	clone.Name = "post-restore"
-	id, err := eng2.Register(clone)
+	id, err := eng2.RegisterContext(ctx, clone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
 }
 
 func TestLoadIndexesErrors(t *testing.T) {
-	eng, err := New(repo.NewInMemory(), Options{})
+	eng, err := NewEngine(repo.NewInMemory())
 	if err != nil {
 		t.Fatal(err)
 	}

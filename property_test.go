@@ -1,11 +1,16 @@
 package sommelier
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"sommelier/internal/catalog"
 	"sommelier/internal/query"
+	"sommelier/internal/repo"
 )
 
 // The engine's core contract, checked over generated queries: every
@@ -13,6 +18,7 @@ import (
 // constraint, results are sorted by the PICK criterion, and LIMIT is
 // respected. One shared engine keeps the property check fast.
 func TestPropertyQueryContract(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	refProf, ok := eng.Profile(refID)
 	if !ok {
@@ -40,7 +46,7 @@ func TestPropertyQueryContract(t *testing.T) {
 			Pick:  pick,
 			Limit: limit,
 		}
-		results, err := eng.QueryAST(q)
+		results, err := eng.QueryASTContext(ctx, q)
 		if err != nil {
 			t.Logf("query error: %v", err)
 			return false
@@ -87,37 +93,122 @@ func TestPropertyQueryContract(t *testing.T) {
 	}
 }
 
-// Query and QueryAST must agree for any round-trippable query string.
+// Every entry into the query pipeline must agree on generated queries:
+// QueryContext, QueryASTContext, ExplainContext and the matching slot
+// of a QueryBatchContext batch at every worker count return identical
+// results. The queries mix upper and lower bounds, EXEC re-profiling,
+// every PICK kind and LIMIT 0–4. For LIMIT-0 queries the explanation
+// must also account for every stage-1 candidate exactly once.
 func TestPropertyQueryStringEquivalence(t *testing.T) {
-	eng, refID, _ := newEngineWithLadder(t, false)
-	f := func(thrRaw uint8, memRaw uint16) bool {
-		threshold := int(thrRaw % 101)
-		memPct := 10 + int(memRaw%300)
-		qs := fmt.Sprintf("SELECT CORR %q WITHIN %d%% ON memory <= %d%% PICK most_similar",
-			refID, threshold, memPct)
-		viaString, err := eng.Query(qs)
+	ctx := context.Background()
+	store := repo.NewInMemory()
+	eng, refID := newLadderOverStore(t, store)
+	picks := []query.PickKind{
+		query.PickMostSimilar, query.PickSmallest,
+		query.PickFastest, query.PickCheapest, query.PickAll,
+	}
+	var qs []string
+	var want [][]Result
+	f := func(thrRaw uint8, memRaw, floorRaw uint16, batchRaw, pickRaw, limRaw uint8) bool {
+		q := fmt.Sprintf("SELECT CORR %q WITHIN %d%% ON memory <= %d%% AND flops >= %d%%",
+			refID, thrRaw%101, 10+memRaw%300, floorRaw%150)
+		if b := batchRaw % 3; b > 0 {
+			q += fmt.Sprintf(" EXEC batch=%d", 4*b)
+		}
+		q += fmt.Sprintf(" PICK %s LIMIT %d", picks[int(pickRaw)%len(picks)], limRaw%5)
+		viaString, err := eng.QueryContext(ctx, q)
+		if err != nil {
+			t.Logf("%s: %v", q, err)
+			return false
+		}
+		ast, err := query.Parse(q)
 		if err != nil {
 			return false
 		}
-		ast, err := query.Parse(qs)
-		if err != nil {
+		viaAST, err := eng.QueryASTContext(ctx, ast)
+		if err != nil || !reflect.DeepEqual(viaAST, viaString) {
+			t.Logf("%s: QueryAST diverges (%v)", q, err)
 			return false
 		}
-		viaAST, err := eng.QueryAST(ast)
-		if err != nil {
+		exp, err := eng.ExplainContext(ctx, q)
+		if err != nil || !reflect.DeepEqual(exp.Results, viaString) {
+			t.Logf("%s: Explain diverges (%v)", q, err)
 			return false
 		}
-		if len(viaString) != len(viaAST) {
+		if ast.Limit == 0 && !explanationAccountsForAll(t, eng, ast, exp) {
+			t.Logf("%s: explanation accounting:\n%s", q, exp)
 			return false
 		}
-		for i := range viaString {
-			if viaString[i].ID != viaAST[i].ID || viaString[i].Level != viaAST[i].Level {
-				return false
-			}
-		}
+		qs = append(qs, q)
+		want = append(want, viaString)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+		t.Fatal(err)
 	}
+
+	// The batch slots, at every worker count, over the same index state
+	// restored through the persistence path.
+	var snap bytes.Buffer
+	if err := eng.SaveIndexes(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		eng2, err := NewEngine(store, WithSeed(11), WithValidationSize(250), WithQueryWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng2.LoadIndexes(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		results, errs := eng2.QueryBatchContext(ctx, qs)
+		for i := range qs {
+			if errs[i] != nil || !reflect.DeepEqual(results[i], want[i]) {
+				t.Fatalf("workers=%d slot %d %s: batch %+v (err %v), query %+v",
+					workers, i, qs[i], results[i], errs[i], want[i])
+			}
+		}
+	}
+}
+
+// explanationAccountsForAll checks that each stage-1 candidate of a
+// LIMIT-less query lands in exactly one of the explanation's buckets:
+// returned, dropped by the prefilter, missing a profile, or failing at
+// least one constraint. The failing count is recomputed independently
+// from the same query without constraints, whose results are the
+// stage-1 candidates with the profiles the pipeline judges them by.
+func explanationAccountsForAll(t *testing.T, eng *Engine, q *query.Query, exp *Explanation) bool {
+	ctx := context.Background()
+	refProf, _ := eng.Profile(exp.Reference)
+	setting, reprofile, err := execSetting(q.Exec)
+	if err != nil {
+		t.Log(err)
+		return false
+	}
+	if reprofile {
+		if refProf, err = eng.reprofile(exp.Reference, setting, catalog.NewReprofileMemo()); err != nil {
+			t.Log(err)
+			return false
+		}
+	}
+	all := *q
+	all.Constraints, all.Pick = nil, query.PickAll
+	cands, err := eng.QueryASTContext(ctx, &all)
+	if err != nil {
+		t.Log(err)
+		return false
+	}
+	failing := 0
+	for _, c := range cands {
+		keep, err := exactlySatisfies(q.Constraints, c.Profile, refProf)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if !keep {
+			failing++
+		}
+	}
+	return exp.SemanticCandidates == len(cands)+exp.NoProfile &&
+		exp.SemanticCandidates == exp.Returned+exp.PrefilterDropped+exp.NoProfile+failing
 }

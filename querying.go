@@ -39,21 +39,11 @@ var ErrNoProfile = errors.New("sommelier: indexed model has no resource profile"
 func (e *Engine) QueryContext(ctx context.Context, q string) ([]Result, error) {
 	ctx, root := e.obs.StartSpan(ctx, "query", "")
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
-	_, span := e.obs.StartSpan(ctx, "parse", "")
-	ast, err := query.Parse(q)
-	e.obs.Histogram("query_parse_ms").Observe(span.End())
+	ast, err := e.parse(ctx, q, nil)
 	if err != nil {
-		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
 	}
-	return e.queryAST(ctx, ast)
-}
-
-// Query parses and executes a query string without a context.
-//
-// Deprecated: use QueryContext.
-func (e *Engine) Query(q string) ([]Result, error) {
-	return e.QueryContext(context.Background(), q)
+	return e.queryAST(ctx, ast, nil)
 }
 
 // QueryASTContext executes a parsed query through the three-stage
@@ -63,14 +53,18 @@ func (e *Engine) Query(q string) ([]Result, error) {
 func (e *Engine) QueryASTContext(ctx context.Context, q *query.Query) ([]Result, error) {
 	ctx, root := e.obs.StartSpan(ctx, "query", "")
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
-	return e.queryAST(ctx, q)
+	return e.queryAST(ctx, q, nil)
 }
 
-// QueryAST executes a parsed query without a context.
-//
-// Deprecated: use QueryASTContext.
-func (e *Engine) QueryAST(q *query.Query) ([]Result, error) {
-	return e.QueryASTContext(context.Background(), q)
+// parse parses q under a "parse" child span of ctx.
+func (e *Engine) parse(ctx context.Context, q string, rec *Explanation) (*query.Query, error) {
+	_, span := e.obs.StartSpan(ctx, "parse", "")
+	ast, err := query.Parse(q)
+	e.observeStage(rec, "parse", "query_parse_ms", span.End())
+	if err != nil {
+		e.obs.Counter("query_errors_total").Inc()
+	}
+	return ast, err
 }
 
 // queryAST is the shared single-query execution body: one fresh
@@ -78,8 +72,8 @@ func (e *Engine) QueryAST(q *query.Query) ([]Result, error) {
 // queries instead (see batch.go); the per-query execution is the same
 // queryOne either way, which is what makes batch answers byte-identical
 // to serial ones.
-func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error) {
-	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo())
+func (e *Engine) queryAST(ctx context.Context, q *query.Query, rec *Explanation) ([]Result, error) {
+	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo(), rec)
 	if err != nil {
 		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
@@ -88,12 +82,16 @@ func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error)
 }
 
 // queryOne executes one parsed query against an already-acquired
-// snapshot. ctx carries the caller's root query span; each stage opens
-// a child span and feeds the matching histogram. memo deduplicates
-// EXEC re-profiling work; callers executing a batch pass one memo for
-// the whole batch.
+// snapshot. It is the engine's only query executor: QueryContext,
+// QueryASTContext, the batch calls and ExplainContext all answer
+// through it. ctx carries the caller's root query span; each stage
+// opens a child span and feeds the matching histogram. memo
+// deduplicates EXEC re-profiling work; callers executing a batch pass
+// one memo for the whole batch. A non-nil rec records what each stage
+// did (see Explanation); with a nil rec the recording costs one
+// pointer check per step.
 func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.Query,
-	memo *catalog.ReprofileMemo) ([]Result, error) {
+	memo *catalog.ReprofileMemo, rec *Explanation) ([]Result, error) {
 	e.obs.Counter("queries_total").Inc()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -117,7 +115,14 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	// Stage 1: semantic filter.
 	_, span := e.obs.StartSpan(ctx, "candidates", "")
 	cands, err := snap.Lookup(refID, q.Threshold)
-	e.obs.Histogram("query_candidates_ms").Observe(span.End())
+	if rec != nil && err == nil {
+		var all []index.Candidate
+		all, err = snap.Lookup(refID, 0)
+		rec.Reference = refID
+		rec.SemanticCandidates = len(cands)
+		rec.SemanticRejected = len(all) - len(cands)
+	}
+	e.observeStage(rec, "candidates", "query_candidates_ms", span.End())
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +142,8 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 
 	// Stage 2: resource filter, cost-ordered (see resourceFilter).
 	_, span = e.obs.StartSpan(ctx, "filter", "")
-	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo)
-	e.obs.Histogram("query_filter_ms").Observe(span.End())
+	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo, rec)
+	e.observeStage(rec, "filter", "query_filter_ms", span.End())
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +154,17 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	if q.Limit > 0 && len(results) > q.Limit {
 		results = results[:q.Limit]
 	}
-	e.obs.Histogram("query_rank_ms").Observe(span.End())
+	e.observeStage(rec, "rank", "query_rank_ms", span.End())
 	return results, nil
+}
+
+// observeStage feeds one pipeline stage's span duration into its
+// histogram and, when recording, into rec.Stages.
+func (e *Engine) observeStage(rec *Explanation, stage, hist string, ms float64) {
+	e.obs.Histogram(hist).Observe(ms)
+	if rec != nil {
+		rec.Stages = append(rec.Stages, StageTiming{Stage: stage, Millis: ms})
+	}
 }
 
 // reprofile measures one model under an EXEC setting through the memo:
@@ -189,10 +203,11 @@ var feasiblePool = sync.Pool{
 //
 // Both passes re-check ctx between candidates, so cancelling the query
 // actually stops the work instead of letting the loop grind through
-// the remaining candidates.
+// the remaining candidates. A non-nil rec accounts for every dropped
+// candidate against the profile the pass judged it by.
 func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catalog.Snapshot,
 	cands []index.Candidate, refProf resource.Profile, reprofile bool,
-	setting resource.ExecSetting, memo *catalog.ReprofileMemo) ([]Result, error) {
+	setting resource.ExecSetting, memo *catalog.ReprofileMemo, rec *Explanation) ([]Result, error) {
 	budget, err := budgetFrom(q.Constraints, refProf)
 	if err != nil {
 		return nil, err
@@ -230,6 +245,11 @@ func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catal
 		}
 		pid := candProfileID(c)
 		if !feasible[pid] {
+			if rec != nil {
+				if err := rec.prefilterDrop(q.Constraints, snap, pid, refProf); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
 		if reprofile {
@@ -242,6 +262,9 @@ func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catal
 			// with a zero-valued one — it would trivially satisfy every
 			// upper bound and win PICK SMALLEST/FASTEST/CHEAPEST.
 			e.obs.Counter("query_skipped_no_profile_total").Inc()
+			if rec != nil {
+				rec.NoProfile++
+			}
 			continue
 		}
 		keep, err := exactlySatisfies(q.Constraints, prof, refProf)
@@ -249,6 +272,11 @@ func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catal
 			return nil, err
 		}
 		if !keep {
+			if rec != nil {
+				if err := rec.reject(q.Constraints, prof, refProf); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
 		results = append(results, candResult(c, prof))
@@ -269,11 +297,53 @@ func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catal
 			return nil, err
 		}
 		if !keep {
+			if rec != nil {
+				if err := rec.reject(q.Constraints, prof, refProf); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
 		results = append(results, candResult(c, prof))
 	}
 	return results, nil
+}
+
+// prefilterDrop accounts for a candidate the LSH prefilter left out of
+// the feasible set. Judged by its indexed profile it has no profile,
+// fails some constraint, or meets every constraint exactly — a
+// feasible model the prefilter's approximation dropped.
+func (rec *Explanation) prefilterDrop(cs []query.Constraint, snap *catalog.Snapshot,
+	id string, ref resource.Profile) error {
+	prof, ok := snap.Profile(id)
+	if !ok {
+		rec.NoProfile++
+		return nil
+	}
+	keep, err := exactlySatisfies(cs, prof, ref)
+	if err != nil {
+		return err
+	}
+	if !keep {
+		return rec.reject(cs, prof, ref)
+	}
+	rec.PrefilterDropped++
+	return nil
+}
+
+// reject attributes a candidate the pipeline dropped to every
+// constraint its profile p fails against the reference profile ref.
+func (rec *Explanation) reject(cs []query.Constraint, p, ref resource.Profile) error {
+	for i := range cs {
+		keep, err := exactlySatisfies(cs[i:i+1], p, ref)
+		if err != nil {
+			return err
+		}
+		if !keep {
+			rec.ResourceRejected[cs[i].String()]++
+		}
+	}
+	return nil
 }
 
 // candResult builds the engine result for one surviving candidate.
@@ -307,12 +377,7 @@ func (e *Engine) TopEquivalents(refID string, k int) ([]Result, error) {
 			e.obs.Counter("query_skipped_no_profile_total").Inc()
 			continue
 		}
-		out = append(out, Result{
-			ID: c.ID, Level: c.Level,
-			Synthesized: c.Kind == index.KindSynthesized,
-			DonorID:     c.DonorID, Segment: c.Segment,
-			Derived: c.Derived, Profile: prof,
-		})
+		out = append(out, candResult(c, prof))
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sommelier
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 // variants at known distances and inflated (larger) siblings.
 func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string) {
 	t.Helper()
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 11, ValidationSize: 250, Segments: segments})
+	eng, err := NewEngine(store, WithSeed(11), WithValidationSize(250), WithSegments(segments))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := eng.Register(v)
+		id, err := eng.RegisterContext(ctx, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +51,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigID, err := eng.Register(big)
+	bigID, err := eng.RegisterContext(ctx, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +87,11 @@ func TestEngineRegisterAndIndex(t *testing.T) {
 }
 
 func TestEngineQueryPipeline(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// High threshold, memory within 120% of ref: excludes the distant
 	// variant and the inflated big model.
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 85% ON memory <= 120% PICK most_similar`)
+	results, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 85% ON memory <= 120% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +115,9 @@ func TestEngineQueryPipeline(t *testing.T) {
 }
 
 func TestEngineQueryPickSmallest(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% PICK smallest`)
+	results, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 50% PICK smallest`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +129,9 @@ func TestEngineQueryPickSmallest(t *testing.T) {
 }
 
 func TestEngineQueryLimit(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 10% PICK most_similar LIMIT 2`)
+	results, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +141,10 @@ func TestEngineQueryLimit(t *testing.T) {
 }
 
 func TestEngineQueryLowerBoundConstraint(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// Require MORE memory than the reference: only the inflated model.
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory >= 150% PICK most_similar`)
+	results, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 50% ON memory >= 150% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +154,10 @@ func TestEngineQueryLowerBoundConstraint(t *testing.T) {
 }
 
 func TestEngineQueryTaskDefaultReference(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// The first registered classification model is the default ref.
-	results, err := eng.Query(`SELECT TASK classification WITHIN 50% PICK most_similar`)
+	results, err := eng.QueryContext(ctx, `SELECT TASK classification WITHIN 50% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +174,21 @@ func TestEngineQueryTaskDefaultReference(t *testing.T) {
 }
 
 func TestEngineQueryErrors(t *testing.T) {
+	ctx := context.Background()
 	eng, _, _ := newEngineWithLadder(t, false)
-	if _, err := eng.Query(`garbage`); err == nil {
+	if _, err := eng.QueryContext(ctx, `garbage`); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if _, err := eng.Query(`SELECT CORR ghost@9`); err == nil {
+	if _, err := eng.QueryContext(ctx, `SELECT CORR ghost@9`); err == nil {
 		t.Fatal("expected unknown-reference error")
 	}
-	if _, err := eng.Query(`SELECT TASK regression`); err == nil {
+	if _, err := eng.QueryContext(ctx, `SELECT TASK regression`); err == nil {
 		t.Fatal("expected no-default-reference error")
 	}
 }
 
 func TestEngineQueryAbsoluteConstraint(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	refProf, _ := eng.Profile(refID)
 	mb := float64(refProf.MemoryBytes) / (1 << 20)
@@ -192,7 +201,7 @@ func TestEngineQueryAbsoluteConstraint(t *testing.T) {
 		}},
 		Pick: query.PickMostSimilar,
 	}
-	results, err := eng.QueryAST(q)
+	results, err := eng.QueryASTContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +213,9 @@ func TestEngineQueryAbsoluteConstraint(t *testing.T) {
 }
 
 func TestEngineSegmentsProduceSynthesizedCandidates(t *testing.T) {
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 3, ValidationSize: 150, Segments: true, SegmentMinLen: 3})
+	eng, err := NewEngine(store, WithSeed(3), WithValidationSize(150), WithSegments(true), WithSegmentMinLen(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +228,11 @@ func TestEngineSegmentsProduceSynthesizedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(variant); err != nil {
+	if _, err := eng.RegisterContext(ctx, variant); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.TopEquivalents(refID, 10)
@@ -269,6 +279,7 @@ func TestEngineMaterializeWhole(t *testing.T) {
 }
 
 func TestEngineIndexAllFromRepository(t *testing.T) {
+	ctx := context.Background()
 	store := repo.NewInMemory()
 	for i := 0; i < 3; i++ {
 		m, err := zoo.MobileNetish(zoo.Config{Name: "pre" + itoa(i), Seed: uint64(i + 1)})
@@ -279,18 +290,18 @@ func TestEngineIndexAllFromRepository(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(store, Options{Seed: 5, ValidationSize: 100})
+	eng, err := NewEngine(store, WithSeed(5), WithValidationSize(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 3 {
 		t.Fatalf("IndexedLen = %d", eng.IndexedLen())
 	}
 	// Idempotent.
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 3 {
@@ -307,9 +318,10 @@ func TestEngineIndexMemoryBytes(t *testing.T) {
 }
 
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
+	ctx := context.Background()
 	run := func() []Result {
 		eng, refID, _ := newEngineWithLadder(t, false)
-		rs, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`)
+		rs, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 50% PICK most_similar`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +339,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestEngineNilRepository(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := NewEngine(nil); err == nil {
 		t.Fatal("expected nil-repository error")
 	}
 }
@@ -383,11 +395,12 @@ func TestExactlySatisfiesOperators(t *testing.T) {
 }
 
 func TestEquivOptionsExposedThroughEngine(t *testing.T) {
+	ctx := context.Background()
 	// BoundOff engines must produce levels >= BoundOn engines for the
 	// same pair (the bound only subtracts).
 	mkEngine := func(mode equiv.BoundMode) float64 {
 		store := repo.NewInMemory()
-		eng, err := New(store, Options{Seed: 9, ValidationSize: 200, Bound: mode})
+		eng, err := NewEngine(store, WithSeed(9), WithValidationSize(200), WithBound(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,12 +408,12 @@ func TestEquivOptionsExposedThroughEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refID, err := eng.Register(base)
+		refID, err := eng.RegisterContext(ctx, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := zoo.Perturb(base, "v", 0.02, 3)
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(ctx, v); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.TopEquivalents(refID, 1)
@@ -417,12 +430,13 @@ func TestEquivOptionsExposedThroughEngine(t *testing.T) {
 }
 
 func TestValidationForCustomDataset(t *testing.T) {
+	ctx := context.Background()
 	store := repo.NewInMemory()
 	custom := &dataset.Dataset{
 		Name:   "custom",
 		Inputs: dataset.RandomImages(50, tensor.Shape{16}, 99),
 	}
-	eng, err := New(store, Options{Seed: 1, CustomValidation: custom})
+	eng, err := NewEngine(store, WithSeed(1), WithCustomValidation(custom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,14 +447,14 @@ func TestValidationForCustomDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(m); err != nil {
+	if _, err := eng.RegisterContext(ctx, m); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := zoo.DenseResidualNet(zoo.Config{Name: "cv2", Seed: 6, InDim: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(m2); err != nil {
+	if _, err := eng.RegisterContext(ctx, m2); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 2 {
@@ -450,16 +464,17 @@ func TestValidationForCustomDataset(t *testing.T) {
 }
 
 func TestEngineExecSpecReprofiles(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// Batch-32 fp32 raises activation memory; a tight relative budget
 	// that passes at batch 1 can fail at batch 32, and vice versa a
 	// query with EXEC must still return a consistent, non-empty set at
 	// a loose budget.
-	base, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory <= 200% PICK most_similar`)
+	base, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 50% ON memory <= 200% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withExec, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory <= 200% EXEC batch=32 PICK most_similar`)
+	withExec, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 50% ON memory <= 200% EXEC batch=32 PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,15 +493,16 @@ func TestEngineExecSpecReprofiles(t *testing.T) {
 		t.Fatalf("exec-spec did not re-profile: default %d vs exec %d", defMem, execMem)
 	}
 	// Invalid EXEC values fail loudly.
-	if _, err := eng.Query(`SELECT CORR "` + refID + `" EXEC batch=zero`); err == nil {
+	if _, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" EXEC batch=zero`); err == nil {
 		t.Fatal("expected bad-batch error")
 	}
-	if _, err := eng.Query(`SELECT CORR "` + refID + `" EXEC precision=fp8`); err == nil {
+	if _, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" EXEC precision=fp8`); err == nil {
 		t.Fatal("expected bad-precision error")
 	}
 }
 
 func TestRegisterAnnotated(t *testing.T) {
+	ctx := context.Background()
 	eng, refID, _ := newEngineWithLadder(t, false)
 	m, err := eng.Store().Load(refID)
 	if err != nil {
@@ -494,7 +510,7 @@ func TestRegisterAnnotated(t *testing.T) {
 	}
 	annotated := m.Clone()
 	annotated.Name = "annotated"
-	id, err := eng.RegisterAnnotated(annotated, map[string]float64{refID: 0.99})
+	id, err := eng.RegisterAnnotatedContext(ctx, annotated, map[string]float64{refID: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,12 +533,12 @@ func TestRegisterAnnotated(t *testing.T) {
 	// Invalid annotations fail loudly.
 	bad := m.Clone()
 	bad.Name = "bad-level"
-	if _, err := eng.RegisterAnnotated(bad, map[string]float64{refID: 1.5}); err == nil {
+	if _, err := eng.RegisterAnnotatedContext(ctx, bad, map[string]float64{refID: 1.5}); err == nil {
 		t.Fatal("expected range error")
 	}
 	bad2 := m.Clone()
 	bad2.Name = "bad-target"
-	if _, err := eng.RegisterAnnotated(bad2, map[string]float64{"ghost@1": 0.5}); err == nil {
+	if _, err := eng.RegisterAnnotatedContext(ctx, bad2, map[string]float64{"ghost@1": 0.5}); err == nil {
 		t.Fatal("expected unindexed-target error")
 	}
 }
